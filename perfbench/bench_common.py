@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import ctypes
 import gc
-import hashlib
 import json
 import math
 import os
@@ -22,6 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from repro.ann import IVFPQIndex
 
 #: Checkout root (the directory holding ``BENCHMARK.json`` and ``src/``).
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,6 +79,18 @@ def corpus(geom: Geometry, seed: int) -> tuple[Mixture, np.ndarray]:
     return mix, mix.sample(np.random.default_rng([seed, 1]), geom.n)
 
 
+def build_index(geom: Geometry, seed: int, *, warm: bool = True):
+    """Corpus, training on its head, packing and (``warm``) gather-cache
+    warm-up.  Returns ``(index, base, mix)``."""
+    mix, base = corpus(geom, seed)
+    index = IVFPQIndex(d=geom.d, nlist=geom.nlist, m=geom.m, ksub=geom.ksub, seed=seed)
+    index.train(base[: geom.n_train])
+    index.add(base)
+    if warm:
+        index.warm_gather_cache()
+    return index, base, mix
+
+
 def zipf_stream(
     rng: np.random.Generator,
     fresh: np.ndarray,
@@ -130,14 +143,6 @@ def recall(got: np.ndarray, truth: np.ndarray) -> float:
     """Mean share of each query's true top-k found in its answer."""
     hits = sum(len(np.intersect1d(g, t)) for g, t in zip(got, truth))
     return hits / truth.size
-
-
-def digest(*arrays: np.ndarray) -> str:
-    """Short stable digest of answer arrays (compare two commits by it)."""
-    h = hashlib.blake2b(digest_size=12)
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
 
 
 # --------------------------------------------------------------------- #
@@ -215,6 +220,19 @@ def proc_cpu_s(pid: int) -> float:
     with open(f"/proc/{pid}/stat") as fh:
         fields = fh.read().rsplit(")", 1)[1].split()
     return (int(fields[11]) + int(fields[12])) / _CLK_TCK
+
+
+def host_ticks() -> tuple[int, int]:
+    """``(steal, total)`` CPU ticks of the host since boot (``/proc/stat``).
+
+    Steal is time the hypervisor ran something else on this machine's
+    virtual CPUs; its share over a run says how much of the host the run
+    actually had.
+    """
+    with open("/proc/stat") as fh:
+        fields = [int(x) for x in fh.readline().split()[1:]]
+    steal = fields[7] if len(fields) > 7 else 0
+    return steal, sum(fields)
 
 
 def environment() -> dict:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import functools
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -26,6 +27,12 @@ from repro.serve import AdmissionError, poisson_arrivals
 DRAIN_TIMEOUT_S = 20.0
 #: Share of a rung's requests that must meet the latency limit (p99).
 GOOD_SHARE = 0.99
+#: Cap on a rung's p99, as a multiple of the limit, in the sustained rate.
+P99_CAP = 10.0
+#: Share of a laddered run spent at the nominal rate.
+NOMINAL_SHARE = 0.3
+#: Passes over the nominal rate and the ladder in one laddered run.
+CYCLES = 3
 
 
 @dataclass
@@ -185,25 +192,26 @@ def ladder(
 class Schedule:
     """A nominal rate and a ladder of capacity rates, interleaved.
 
-    The run is ``cycles`` passes; each pass sends a slice of the nominal
-    rate, then a slice of every capacity rate, lowest first.  A slow spell
-    of the host then lands on every rate alike instead of failing whichever
-    rung it happened to overlap, and each rate's slices are pooled before
-    any figure is taken.
+    The run is ``CYCLES`` passes; each pass sends a slice of the nominal
+    rate (``NOMINAL_SHARE`` of the run in all), then a slice of every
+    capacity rate, lowest first.  A slow spell of the host then lands on
+    every rate alike instead of failing whichever rung it happened to
+    overlap, and each rate's slices are pooled before any figure is taken.
     """
 
     nominal: float
     rates: list[float]
-    nominal_share: float
-    cycles: int
+
+    def to_dict(self) -> dict:
+        return {**self.__dict__, "nominal_share": NOMINAL_SHARE, "cycles": CYCLES}
 
     def segments(self, seconds: float, seed: int) -> list[Rung]:
         """The driven order: every slice, over one continuous stream."""
-        nom_s = seconds * self.nominal_share / self.cycles
-        cap_s = seconds * (1 - self.nominal_share) / self.cycles / len(self.rates)
+        nom_s = seconds * NOMINAL_SHARE / CYCLES
+        cap_s = seconds * (1 - NOMINAL_SHARE) / CYCLES / len(self.rates)
         plan = [(self.nominal, nom_s)] + [(r, cap_s) for r in self.rates]
         return ladder(
-            [r for r, _ in plan] * self.cycles, [s for _, s in plan] * self.cycles, seed
+            [r for r, _ in plan] * CYCLES, [s for _, s in plan] * CYCLES, seed
         )
 
     def pool(self, segments: list[Rung]) -> list[Rung]:
@@ -217,21 +225,47 @@ class Schedule:
 def sustained(rungs: list[Rung], limit_ms: float) -> float:
     """Highest rate whose p99 meets the latency limit.
 
-    Taken from the highest passing rung and interpolated linearly towards
-    the next rung up, on the share of requests that meet the limit, to
-    where that share would be exactly 99%: a rung that only just fails
-    moves the figure a little, not by a whole rung.
+    Each rate's windowed p99 of due-time latency (see ``windowed``: a
+    stall of the host fails the windows it covers, a growing backlog
+    fails them all) is taken on a log scale, capped at
+    ``P99_CAP`` times the limit (a window that sheds or fails more than 1%
+    of its requests has an infinite p99), and made non-decreasing in the
+    rate (pool-adjacent-violators, weighted by request count), so one
+    stall on a single low rung does not end the ladder there.  The figure
+    is the highest rate whose p99 is within the limit, interpolated
+    towards the next rate up to where the log p99 would reach the limit.
+    It moves smoothly with the measured tails instead of in whole rungs.
+    When even the lowest rate misses the limit, the figure is that rate
+    scaled down by limit / p99: below the ladder, in proportion to the miss.
     """
-    passing = [r for r in rungs if r.passes(limit_ms)]
+    order = sorted(rungs, key=lambda r: r.rate)
+    rates = [r.rate for r in order]
+    cap = P99_CAP * limit_ms
+    log_p99 = [-v for v in _non_increasing(
+        [-math.log(min(r.p99_ms(), cap)) for r in order],
+        [max(r.n, 1) for r in order],
+    )]
+    target = math.log(limit_ms)
+    passing = [i for i, v in enumerate(log_p99) if v <= target]
     if not passing:
-        return 0.0
-    lo = max(passing, key=lambda r: r.rate)
-    above = [r for r in rungs if r.rate > lo.rate]
-    if not above:
-        return lo.rate
-    hi = min(above, key=lambda r: r.rate)
-    f_lo, f_hi = lo.good_frac(limit_ms), hi.good_frac(limit_ms)
-    return lo.rate + (hi.rate - lo.rate) * (f_lo - GOOD_SHARE) / (f_lo - f_hi)
+        return rates[0] * math.exp(target - log_p99[0])
+    lo = passing[-1]
+    if lo + 1 == len(order):
+        return rates[lo]
+    step = (target - log_p99[lo]) / (log_p99[lo + 1] - log_p99[lo])
+    return rates[lo] + (rates[lo + 1] - rates[lo]) * step
+
+
+def _non_increasing(values: list[float], weights: list[float]) -> list[float]:
+    """Weighted least-squares non-increasing fit (pool adjacent violators)."""
+    blocks: list[list[float]] = []  # [mean, weight, count]
+    for v, w in zip(values, weights):
+        blocks.append([v, w, 1])
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            v2, w2, c2 = blocks.pop()
+            v1, w1, c1 = blocks.pop()
+            blocks.append([(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2, c1 + c2])
+    return [v for v, _, c in blocks for _ in range(c)]
 
 
 # --------------------------------------------------------------------- #
@@ -299,11 +333,13 @@ async def drive_clients(clients, rung: Rung, queries: np.ndarray, k: int, nprobe
     rung.finish(t_last)
 
 
-def end_to_end(rungs: list[Rung], nominal: int, limit_ms: float) -> tuple[dict, int, int]:
+def end_to_end(
+    rungs: list[Rung], nominal: int, limit_ms: float, percentile=windowed
+) -> tuple[dict, int, int]:
     """Serving end-to-end metrics and the run's ``(attempted, failed)``.
 
-    p50/p90 (windowed, see ``windowed``) and ``ok_frac`` come from the
-    nominal rung.  ``failed`` counts
+    p50/p90 (by ``percentile``: windowed by default, see ``windowed``)
+    and ``ok_frac`` come from the nominal rung.  ``failed`` counts
     every wrong, errored or unanswered request, and sheds at or below the
     nominal rate; sheds above it are the expected outcome of probing past
     capacity and only cost those rungs their latency limit.
@@ -316,8 +352,8 @@ def end_to_end(rungs: list[Rung], nominal: int, limit_ms: float) -> tuple[dict, 
 
     metrics = {
         "qps": sustained(rungs, limit_ms),
-        "p50_ms": shown(windowed(nom.latency_ms(), 50)),
-        "p90_ms": shown(windowed(nom.latency_ms(), 90)),
+        "p50_ms": shown(percentile(nom.latency_ms(), 50)),
+        "p90_ms": shown(percentile(nom.latency_ms(), 90)),
         "ok_frac": float(nom.ok.mean()) if nom.n else 0.0,
     }
     attempted = sum(r.n for r in rungs)

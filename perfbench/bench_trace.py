@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bench_load import Rung, ladder
+
 
 @dataclass
 class Span:
@@ -226,9 +228,19 @@ class ServiceProxy(_Forwarding):
 STAGES = ("preselect", "build_lut", "pq_dist", "select_k")
 
 
-def overhead(cpu_per_q_traced: float, cpu_per_q_plain: float) -> float:
-    """Relative extra process CPU per request in the traced run."""
-    return cpu_per_q_traced / cpu_per_q_plain - 1.0 if cpu_per_q_plain else 0.0
+def phases(rate: float, seconds: float, seed: int) -> tuple[Rung, Rung]:
+    """The untraced and the traced phase of a traced serving run: one
+    seeded schedule at ``rate``, each phase half of ``seconds``."""
+    template = ladder([rate], [seconds / 2], seed)[0]
+    return template.again(), template.again()
+
+
+def answer_overhead(plain: Rung, cpu_plain: float, traced: Rung, cpu_traced: float) -> float:
+    """Relative extra process CPU per answer in the traced phase, from two
+    driven phases and their CPU time."""
+    per_plain = cpu_plain / max(int(plain.answered.sum()), 1)
+    per_traced = cpu_traced / max(int(traced.answered.sum()), 1)
+    return per_traced / per_plain - 1.0 if per_plain else 0.0
 
 
 def staged_search(index, queries, k: int, nprobe: int, plan=None):

@@ -24,16 +24,16 @@ from bench_serve import (
     cache_layers, loadgen_layers, make_engine, scheduler_layers,
     stream_repeat_frac,
 )
-from bench_trace import ServiceProxy, SpanLog, overhead
+from bench_trace import ServiceProxy, SpanLog, answer_overhead, phases
 from wl_engine import GEOM, make_stream
 from repro.service.dynamic import DynamicVectorService
 
-READ_RATE = 150
+READ_RATE = 120
 INSERT_EVERY_S, INSERT_BATCH = 0.05, 1
 DELETE_EVERY_S, DELETE_BATCH = 0.1, 2
 MERGE_AT = 0.5
 LIMIT_MS = 100.0
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 #: Reads served after the writes stop, checked against direct search.
 POST_QUERIES = 400
 #: Queries searched twice directly before the final merge.
@@ -112,21 +112,18 @@ class Writer:
         """Write latency from each write's due time."""
         return np.array([(end - (t0 + due)) * 1e3 for _, due, end, _, _ in self.log])
 
-    def deleted_before(self, n_ids: int) -> np.ndarray:
-        """Per id, the time its delete completed (``inf`` if never deleted)."""
-        done = np.full(n_ids, np.inf)
+    def stale(self, rung) -> np.ndarray:
+        """Reads of ``rung`` sent after a delete completed whose answer
+        holds the deleted id."""
+        n_ids = max([GEOM.n] + [int(i.max()) + 1 for _, i in self.inserted if len(i)])
+        deleted_at = np.full(n_ids, np.inf)
         for kind, _, end, _, ids in self.log:
             if kind == "delete":
-                done[ids] = end
-        return done
-
-
-def stale_reads(rung, deleted_at: np.ndarray) -> np.ndarray:
-    """Reads sent after a delete completed whose answer holds that id."""
-    ids = rung.ids
-    valid = (ids >= 0) & (ids < len(deleted_at))
-    when = np.where(valid, deleted_at[np.where(valid, ids, 0)], np.inf)
-    return rung.answered & (when < rung.sent[:, None]).any(axis=1)
+                deleted_at[ids] = end
+        ids = rung.ids
+        valid = (ids >= 0) & (ids < n_ids)
+        when = np.where(valid, deleted_at[np.where(valid, ids, 0)], np.inf)
+        return rung.answered & (when < rung.sent[:, None]).any(axis=1)
 
 
 def serve_phase(service, backend, rung, queries, writer):
@@ -170,12 +167,15 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     rung = ladder([READ_RATE], [seconds], seed)[0]
     queries, keys = make_stream(mix, rung.n, seed)
     writer = Writer(service, mix, seconds, seed, np.arange(GEOM.n))
-    _, _, post, unstable = serve_phase(service, service, rung, queries, writer)
+    _, cpu, post, unstable = serve_phase(service, service, rung, queries, writer)
     mem = pss_mb(["self"])
     wrong_reads, post_wrong, post_ids = _checks(service, rung, queries, writer, post)
-    metrics, attempted, failed = end_to_end([rung], 0, LIMIT_MS)
-    # One fixed rate: throughput is what was answered correctly per second.
-    metrics["qps"] = float(rung.ok.sum()) / rung.seconds
+    # Percentiles over every read, so the reads the merge holds up count.
+    metrics, attempted, failed = end_to_end([rung], 0, LIMIT_MS, percentile=pct)
+    # The offered rate is fixed, so throughput is taken per CPU-second:
+    # reads answered correctly plus writes done, over the process CPU time
+    # of the phase (reads, writes and the merge alike).
+    metrics["qps"] = (float(rung.ok.sum()) + len(writer.log)) / cpu
 
     live_x, live_ids = live_set(base, writer)
     truth = exact_topk(live_x, live_ids, queries[:POST_QUERIES], GEOM.k)
@@ -185,7 +185,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
         "geometry": GEOM.to_dict(),
         "read_rate": READ_RATE, "p99_limit_ms": LIMIT_MS,
         "rungs": rung_rows([rung], LIMIT_MS),
-        "writes": len(writer.log), "write_p99_ms": pct(wlat, 99),
+        "writes": len(writer.log), "write_p99_ms": pct(wlat, 99), "phase_cpu_s": cpu,
         "merge_s": writer.merge_s,
         "stale_reads": int(wrong_reads), "post_checked": POST_QUERIES,
         "post_mismatches": post_wrong,
@@ -200,8 +200,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
 def _checks(service, rung, queries, writer, post):
     """Stale-read check on the timed reads; post-write answers against
     direct ``DynamicVectorService.search`` on each query alone."""
-    n_ids = max([GEOM.n] + [int(i.max()) + 1 for _, i in writer.inserted if len(i)])
-    stale = stale_reads(rung, writer.deleted_before(n_ids))
+    stale = writer.stale(rung)
     rung.wrong |= stale
     post_wrong = 0
     for q, res in zip(queries[:POST_QUERIES], post):
@@ -224,18 +223,16 @@ def _run_traced(service, mix, seed, seconds) -> Outcome:
     """Untraced then traced phase, each with its own writes and mid-phase
     merge, each starting with an empty delta (a phase ends with a merge)."""
     half = seconds / 2
-    template = ladder([READ_RATE], [half], seed)[0]
-    queries, keys = make_stream(mix, template.n, seed)
+    plain, rung = phases(READ_RATE, seconds, seed)
+    queries, keys = make_stream(mix, plain.n, seed)
     live = np.arange(GEOM.n)
     victims = np.random.default_rng([seed, 7]).permutation(live)
 
-    plain = template.again()
     plain_writer = Writer(service, mix, half, seed, victims[: GEOM.n // 2])
     _, cpu_plain, _, _ = serve_phase(service, service, plain, queries, plain_writer)
 
     log = SpanLog()
     proxy = ServiceProxy(service, log)
-    rung = template.again()
     writer = Writer(proxy, mix, half, seed + 1, victims[GEOM.n // 2 :])
     # The live delta graph as the window closes (the final merge swaps in
     # an empty one): its size is reported and reads are replayed on it.
@@ -251,8 +248,7 @@ def _run_traced(service, mix, seed, seconds) -> Outcome:
         graph_s += time.perf_counter() - t0
         graph_q += len(qs)
     for phase, w in ((plain, plain_writer), (rung, writer)):
-        n_ids = max([GEOM.n] + [int(i.max()) + 1 for _, i in w.inserted if len(i)])
-        phase.wrong |= stale_reads(phase, w.deleted_before(n_ids))
+        phase.wrong |= w.stale(phase)
 
     reads = log.named("dynamic.search")
     inserts = log.named("dynamic.insert")
@@ -272,9 +268,7 @@ def _run_traced(service, mix, seed, seconds) -> Outcome:
         "dynamic.merge_s": mean([s.end - s.start for s in merges]),
         "dynamic.delta_size_end": float(graph.ntotal),
         "router.cpu_us_per_q": cpu_traced * 1e6 / completed,
-        "trace.overhead_frac": overhead(
-            cpu_traced / completed, cpu_plain / max(int(plain.answered.sum()), 1)
-        ),
+        "trace.overhead_frac": answer_overhead(plain, cpu_plain, rung, cpu_traced),
     }
     wrong = int(plain.wrong.sum() + rung.wrong.sum())
     record = {

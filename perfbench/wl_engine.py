@@ -14,44 +14,28 @@ import time
 import numpy as np
 
 from bench_common import (
-    Geometry, Mixture, Outcome, corpus, exact_topk, pss_mb, recall,
+    Geometry, Mixture, Outcome, build_index, exact_topk, pss_mb, recall,
     setup_repeated, zipf_stream,
 )
-from bench_load import Schedule, drive_engine, end_to_end, ladder, rung_rows
+from bench_load import Schedule, drive_engine, end_to_end, rung_rows
 from bench_serve import (
     cache_layers, check_answers, loadgen_layers, make_engine, scheduler_layers,
     stream_repeat_frac,
 )
 from bench_trace import (
-    STAGES, BackendProxy, SpanLog, overhead, stage_layers, staged_search,
+    STAGES, BackendProxy, SpanLog, answer_overhead, phases, stage_layers,
+    staged_search,
 )
-from repro.ann import IVFPQIndex
 from repro.core.perf_model import expected_codes_per_query
 
 GEOM = Geometry(n=8000, d=32, nlist=128, m=8, ksub=32, nprobe=8, k=10, n_train=8000)
-#: Offered rates (queries/s): the nominal rate gets 44% of the run, the
-#: capacity ladder the rest, interleaved over three passes.
-SCHEDULE = Schedule(
-    nominal=1000, rates=[2500, 3000, 3500, 4000, 4500, 5000],
-    nominal_share=0.44, cycles=3,
-)
+#: Offered rates (queries/s), interleaved (see ``Schedule``).
+SCHEDULE = Schedule(nominal=1000, rates=[2500, 3000, 3500, 4000, 4500, 5000, 6000])
 LIMIT_MS = 30.0
 REPEAT_SHARE = 0.25
 HOT = 128
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 RECALL_QUERIES = 1000
-
-
-def build(seed: int):
-    """Corpus, training, packing and gather-cache warm-up."""
-    mix, base = corpus(GEOM, seed)
-    index = IVFPQIndex(
-        d=GEOM.d, nlist=GEOM.nlist, m=GEOM.m, ksub=GEOM.ksub, seed=seed
-    )
-    index.train(base[: GEOM.n_train])
-    index.add(base)
-    index.warm_gather_cache()
-    return index, base, mix
 
 
 def make_stream(mix: Mixture, n: int, seed: int):
@@ -73,7 +57,7 @@ def serve(backend, rungs, queries):
 
 def run(seed: int, seconds: float, trace: bool) -> Outcome:
     (index, base, mix), setup_s, setup_all = setup_repeated(
-        lambda: build(seed), SETUP_REPEATS
+        lambda: build_index(GEOM, seed), SETUP_REPEATS
     )
     if trace:
         return _run_traced(index, mix, seed, seconds)
@@ -101,7 +85,7 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
     )
     record = {
         "geometry": GEOM.to_dict(),
-        "schedule": SCHEDULE.__dict__, "p99_limit_ms": LIMIT_MS,
+        "schedule": SCHEDULE.to_dict(), "p99_limit_ms": LIMIT_MS,
         "rungs": rung_rows(rungs, LIMIT_MS),
         "answers_checked": checked,
         "alone_sample_mismatches": alone_wrong,
@@ -116,15 +100,12 @@ def run(seed: int, seconds: float, trace: bool) -> Outcome:
 
 def _run_traced(index, mix, seed, seconds) -> Outcome:
     """Untraced then traced run at the nominal rate, then the stage replay."""
-    half = seconds / 2
-    template = ladder([SCHEDULE.nominal], [half], seed)[0]
-    queries, keys = make_stream(mix, template.n, seed)
-    plain = template.again()
+    plain, rung = phases(SCHEDULE.nominal, seconds, seed)
+    queries, keys = make_stream(mix, plain.n, seed)
     _, cpu_plain = serve(index, [plain], queries)
 
     log = SpanLog()
     proxy = BackendProxy(index, log, keep_batches=True)
-    rung = template.again()
     cache, cpu_traced = serve(proxy, [rung], queries)
     _, alone_wrong = check_answers(
         [plain, rung], keys, queries, index, GEOM.k, GEOM.nprobe, seed
@@ -143,7 +124,6 @@ def _run_traced(index, mix, seed, seconds) -> Outcome:
         n_q += len(qs)
         codes += c
     expected = expected_codes_per_query(index.cell_sizes, GEOM.nprobe)
-    completed_plain = max(int(plain.answered.sum()), 1)
     completed = max(int(rung.answered.sum()), 1)
     layers = {
         **stage_layers(stage_s, n_q, codes, expected, GEOM.nprobe, GEOM.m, GEOM.ksub),
@@ -154,7 +134,7 @@ def _run_traced(index, mix, seed, seconds) -> Outcome:
         **cache_layers(rung, keys, cache),
         **loadgen_layers(rung),
         "router.cpu_us_per_q": cpu_traced * 1e6 / completed,
-        "trace.overhead_frac": overhead(cpu_traced / completed, cpu_plain / completed_plain),
+        "trace.overhead_frac": answer_overhead(plain, cpu_plain, rung, cpu_traced),
     }
     wrong = int(plain.wrong.sum() + rung.wrong.sum()) + replay_wrong + alone_wrong
     record = {

@@ -25,17 +25,17 @@ from pathlib import Path
 import numpy as np
 
 from bench_common import (
-    WORK_DIR, Geometry, Mixture, Outcome, corpus, exact_topk, mean, pct,
+    WORK_DIR, Geometry, Mixture, Outcome, build_index, exact_topk, mean, pct,
     proc_cpu_s, pss_mb, recall, setup_repeated,
 )
-from bench_load import Schedule, drive_clients, end_to_end, ladder, rung_rows
+from bench_load import Schedule, drive_clients, end_to_end, rung_rows
 from bench_serve import (
     MAX_BATCH, cache_layers, check_answers, loadgen_layers, make_engine,
     scheduler_layers, stream_repeat_frac,
 )
 from bench_trace import (
-    STAGES, BackendProxy, PlannerProxy, ShardProxy, SpanLog, overhead,
-    self_time_us, stage_layers, staged_search,
+    STAGES, BackendProxy, PlannerProxy, ShardProxy, SpanLog, answer_overhead,
+    phases, self_time_us, stage_layers, staged_search,
 )
 from repro.ann import IVFPQIndex, load_index_dir, partition_index, save_index_dir
 from repro.core.perf_model import expected_codes_per_query
@@ -52,10 +52,7 @@ GEOM = Geometry(n=40000, d=48, nlist=128, m=16, ksub=32, nprobe=16, k=10, n_trai
 N_WORKERS = 2
 DISPATCHERS = 2
 CONNECTIONS = min(2, os.cpu_count() or 1)
-SCHEDULE = Schedule(
-    nominal=200, rates=[900, 1050, 1200, 1350, 1500, 1650, 1800],
-    nominal_share=0.44, cycles=3,
-)
+SCHEDULE = Schedule(nominal=250, rates=[600, 900, 1200, 1500, 1800])
 LIMIT_MS = 100.0
 SETUP_REPEATS = 3
 WARM_QUERIES = 512
@@ -83,12 +80,7 @@ class Cluster:
 def build(seed: int) -> Cluster:
     """Corpus, training, save, worker spawn and handshake, and gather-cache
     warm-up through the router (which also checks it end to end)."""
-    mix, base = corpus(GEOM, seed)
-    index = IVFPQIndex(
-        d=GEOM.d, nlist=GEOM.nlist, m=GEOM.m, ksub=GEOM.ksub, seed=seed
-    )
-    index.train(base[: GEOM.n_train])
-    index.add(base)
+    index, base, mix = build_index(GEOM, seed, warm=False)
     WORK_DIR.mkdir(parents=True, exist_ok=True)
     index_dir = Path(tempfile.mkdtemp(prefix="workers-", dir=WORK_DIR))
     save_index_dir(index, index_dir)
@@ -193,7 +185,7 @@ def _run(cluster: Cluster, seed, seconds, setup_s, setup_all) -> Outcome:
     record = {
         "geometry": GEOM.to_dict(),
         "workers": N_WORKERS, "dispatchers": DISPATCHERS, "connections": CONNECTIONS,
-        "schedule": SCHEDULE.__dict__, "p99_limit_ms": LIMIT_MS,
+        "schedule": SCHEDULE.to_dict(), "p99_limit_ms": LIMIT_MS,
         "rungs": rung_rows(rungs, LIMIT_MS),
         "answers_checked": checked + WARM_QUERIES,
         "alone_sample_mismatches": alone_wrong,
@@ -208,18 +200,15 @@ def _run(cluster: Cluster, seed, seconds, setup_s, setup_all) -> Outcome:
 def _run_traced(cluster: Cluster, seed, seconds) -> Outcome:
     """Untraced then traced run at the nominal rate; codec and stage
     replays of every recorded scatter."""
-    half = seconds / 2
-    template = ladder([SCHEDULE.nominal], [half], seed)[0]
-    queries = cluster.mix.sample(np.random.default_rng([seed, 2]), template.n)
-    keys = np.arange(template.n)
-    plain = template.again()
+    plain, rung = phases(SCHEDULE.nominal, seconds, seed)
+    queries = cluster.mix.sample(np.random.default_rng([seed, 2]), plain.n)
+    keys = np.arange(plain.n)
     _, cpu_plain = serve(make_router(cluster), [plain], queries)
 
     log = SpanLog()
     router = make_router(cluster, log)
     planner, shards = router.preselect, router.shards
     backend = BackendProxy(router, log)
-    rung = template.again()
     pids = cluster.worker_pids()
     wcpu0 = sum(proc_cpu_s(p) for p in pids)
     codes0 = sum(s.codes_scanned for s in shards)
@@ -300,9 +289,7 @@ def _run_traced(cluster: Cluster, seed, seconds) -> Outcome:
         "workers.codes_per_q": worker_codes / max(n_scattered, 1),
         "workers.rpc_gap_us": (sum(rpc_durs) - wcpu * 1e6) / max(len(rpcs), 1),
         "router.cpu_us_per_q": cpu_traced * 1e6 / completed,
-        "trace.overhead_frac": overhead(
-            cpu_traced / completed, cpu_plain / max(int(plain.answered.sum()), 1)
-        ),
+        "trace.overhead_frac": answer_overhead(plain, cpu_plain, rung, cpu_traced),
     }
     wrong = (
         int(plain.wrong.sum() + rung.wrong.sum())
